@@ -1,12 +1,11 @@
-"""Cross-layer cache sweep: dup_frac x cache size -> hit rate / speedup.
+"""Response cache sweep: dup_frac x cache size -> hit rate / speedup.
 
-Duplicate-heavy traffic is where serving caches earn their keep: the
+Duplicate-heavy traffic is where a serving cache earns its keep: the
 sweep drives a seeded duplicate stream (the shared
 :mod:`repro.core.duplication` plan, ``jitter=0`` so replays are
 byte-identical) through a real gateway + backend pair, once with the
-caches off (baseline) and once per (dup_frac, cache size) cell with the
-gateway's content-addressed response cache and the backend's lossless
-engine layer cache armed.  Each cell records:
+cache off (baseline) and once per (dup_frac, cache size) cell with the
+gateway's content-addressed response cache armed.  Each cell records:
 
 * **hit rate** — response-cache hits over the stream (with a budget big
   enough for the working set, hits must equal the plan's duplicate count
@@ -15,8 +14,7 @@ engine layer cache armed.  Each cell records:
 * **hit-path speedup** — median miss latency / median hit latency, the
   per-request cost a memo actually removes (backend hop + forward);
 * **fidelity** — every cached answer must be byte-identical to what the
-  cache-off baseline served for the same request, and the backend layer
-  cache must report exact fidelity (``tolerance=0``).
+  cache-off baseline served for the same request.
 
 Results go to ``benchmarks/results/BENCH_cache.json``.  ``--check``
 turns the run into a CI gate:
@@ -53,7 +51,6 @@ from repro.core import BatchPolicy, DjinnClient, DjinnServer, ModelRegistry  # n
 from repro.core.duplication import plan_duplicates  # noqa: E402
 from repro.gateway import GatewayServer  # noqa: E402
 from repro.models import build_net  # noqa: E402
-from repro.nn import LayerCacheConfig  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -92,13 +89,11 @@ def _drive(address, inputs):
     return latencies, payloads
 
 
-def _serve(registry, cache_mb: float, layer_cache: bool):
+def _serve(registry, cache_mb: float):
     """One backend + gateway pair; caller stops both."""
     server = DjinnServer(
         registry, port=0,
-        batching=BatchPolicy(max_batch=8, timeout_ms=1.0),
-        layer_cache=(LayerCacheConfig(max_entries=4096, tolerance=0.0)
-                     if layer_cache else None))
+        batching=BatchPolicy(max_batch=8, timeout_ms=1.0))
     server.start()
     gateway = GatewayServer([server.address], cache_mb=cache_mb,
                             health_interval_s=30.0)
@@ -109,14 +104,12 @@ def _serve(registry, cache_mb: float, layer_cache: bool):
 def bench_cell(registry, net, requests: int, dup_frac: float,
                cache_mb: float, baseline_payloads) -> dict:
     inputs, dup_of = _inputs(net, requests, dup_frac)
-    server, gateway = _serve(registry, cache_mb, layer_cache=True)
+    server, gateway = _serve(registry, cache_mb)
     try:
         t0 = time.perf_counter()
         latencies, payloads = _drive(gateway.address, inputs)
         wall_s = time.perf_counter() - t0
         stats = gateway.cache.stats()
-        layer = server._executor.layer_caches.get(MODEL)
-        layer_stats = layer.stats() if layer is not None else {}
     finally:
         gateway.stop()
         server.stop()
@@ -143,8 +136,6 @@ def bench_cell(registry, net, requests: int, dup_frac: float,
         "hit_speedup": (None if not (p50_hit and p50_miss)
                         else p50_miss / p50_hit),
         "byte_identical": byte_identical,
-        "layer_fidelity_max": layer_stats.get("fidelity_max"),
-        "layer_hits": layer_stats.get("hits"),
     }
 
 
@@ -185,7 +176,7 @@ def main(argv=None) -> int:
     baselines = {}
     for dup_frac in dup_fracs:
         inputs, _ = _inputs(net, args.requests, dup_frac)
-        server, gateway = _serve(registry, cache_mb=0.0, layer_cache=False)
+        server, gateway = _serve(registry, cache_mb=0.0)
         try:
             t0 = time.perf_counter()
             latencies, payloads = _drive(gateway.address, inputs)
@@ -229,11 +220,6 @@ def main(argv=None) -> int:
                     f"dup={cell['dup_frac']} cache={cell['cache_mb']}MiB: "
                     f"cached answers are not byte-identical to the "
                     f"cache-off baseline")
-            fidelity = cell["layer_fidelity_max"]
-            if fidelity is not None and fidelity != 0.0:
-                failures.append(
-                    f"dup={cell['dup_frac']} cache={cell['cache_mb']}MiB: "
-                    f"lossless layer cache reported fidelity {fidelity}")
             if cell["cache_mb"] == full_budget:
                 if cell["hits"] != cell["planned_duplicates"]:
                     failures.append(

@@ -91,16 +91,6 @@ def cmd_models(_args) -> int:
     return 0
 
 
-def _layer_cache_config(args):
-    """``--layer-cache N`` (+ ``--layer-cache-tol``) → LayerCacheConfig."""
-    if not getattr(args, "layer_cache", 0):
-        return None
-    from .nn import LayerCacheConfig
-
-    return LayerCacheConfig(max_entries=args.layer_cache,
-                            tolerance=args.layer_cache_tol)
-
-
 def cmd_serve(args) -> int:
     from .core import BatchPolicy, DjinnServer
 
@@ -117,13 +107,9 @@ def cmd_serve(args) -> int:
     batching = None
     if args.batch:
         batching = BatchPolicy(max_batch=args.batch, timeout_ms=args.timeout_ms)
-    layer_cache = _layer_cache_config(args)
-    if layer_cache is not None and not batching:
-        raise SystemExit("--layer-cache requires --batch")
     server = DjinnServer(registry, host=args.host, port=args.port, batching=batching,
                          workers=args.workers or None,
-                         sched=args.sched or None,
-                         layer_cache=layer_cache)
+                         sched=args.sched or None)
     server.start()
     host, port = server.address
     mode = "batched" if batching else "unbatched"
@@ -131,8 +117,6 @@ def cmd_serve(args) -> int:
         mode += f", {args.sched} sched"
     if args.workers:
         mode += f", {args.workers} shm workers"
-    if layer_cache is not None:
-        mode += f", layer cache {layer_cache.max_entries} entries"
     print(f"DjiNN serving {registry.names()} on {host}:{port} "
           f"({mode}); Ctrl-C to stop")
     try:
@@ -270,15 +254,11 @@ def cmd_gateway(args) -> int:
 
         qos = QosConfig(admission=args.admission, tenant_qps=args.tenant_qps,
                         hedge_ms=args.hedge_ms)
-    layer_cache = _layer_cache_config(args)
-    if layer_cache is not None and not batching:
-        raise SystemExit("--layer-cache requires --batch")
     cluster = ClusterLauncher(
         registry, backends=args.backends, batching=batching,
         service_floor_s=args.floor_ms / 1e3,
         workers=args.workers or None,
         sched=args.sched or None,
-        layer_cache=layer_cache,
     )
     cluster.start()
     try:
@@ -754,14 +734,6 @@ def main(argv=None) -> int:
     serve.add_argument("--workers", default="",
                        help="execute forwards in a shared-memory process pool "
                             "(e.g. proc:4)")
-    serve.add_argument("--layer-cache", type=int, default=0, metavar="N",
-                       help="arm the engine layer cache with an LRU of N "
-                            "activation snapshots per model (0 = off; "
-                            "requires --batch)")
-    serve.add_argument("--layer-cache-tol", type=float, default=0.0,
-                       help="layer-cache digest quantum: activations within "
-                            "this distance share a cache key (0 = exact "
-                            "bytes only)")
 
     query = sub.add_parser("query", help="run one Tonic query against a server")
     query.add_argument("--host", default="127.0.0.1")
@@ -835,12 +807,6 @@ def main(argv=None) -> int:
     gateway.add_argument("--cache-mb", type=float, default=0.0,
                          help="gateway response-cache budget in MiB "
                               "(content-addressed LRU; 0 = off)")
-    gateway.add_argument("--layer-cache", type=int, default=0, metavar="N",
-                         help="arm each backend's engine layer cache with an "
-                              "LRU of N activation snapshots per model "
-                              "(0 = off; requires --batch)")
-    gateway.add_argument("--layer-cache-tol", type=float, default=0.0,
-                         help="layer-cache digest quantum (0 = exact bytes)")
 
     metrics = sub.add_parser(
         "metrics", help="fetch and print a live server's metrics exposition")

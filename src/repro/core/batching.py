@@ -51,13 +51,16 @@ loop to isolate the offender.
 
 The **batch-1 fast path** skips the queue handoff and the slot ring
 entirely: when a model's queue is empty and its plan lock is free, the
-submitting thread runs the preprocess/forward/postprocess stages inline
-on a parent-side plan and returns without ever waking the worker — this is
-what removes the per-request dispatch overhead that made a 1-worker proc
-pool slower than threaded serving (ROADMAP item 2).  The fast path turns
-itself off per-request whenever it could change semantics: queued work,
-a service floor, an armed fault plan, or an un-plannable model all fall
-back to the normal queue path.
+submitting thread runs the request through the worker's own batch code
+(``_run_batch``) as a batch of one on a parent-side plan, so both paths
+emit the same spans and stage counters, and returns without ever waking
+the worker — this is what removes the per-request dispatch overhead that
+made a 1-worker proc pool slower than threaded serving.  The fast path
+only decides admission: queued work, a service floor, an armed fault
+plan, an oversize request, an expired deadline, a busy plan, or an
+un-plannable model all send the request to the normal queue path (an app
+request preprocessed during admission keeps its inputs, so it is never
+preprocessed twice).
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.engine import LayerCache, LayerCacheConfig, PlanError
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import LayerTimer
 from ..obs.trace import Tracer, get_tracer
@@ -107,6 +109,19 @@ class BatchPolicy:
             raise ValueError(f"timeout_ms must be >= 0, got {self.timeout_ms}")
 
 
+class _Unqueued:
+    """Event stand-in for a request that was never queued: the fast path
+    runs it on the submitting thread, so there is nobody to wake."""
+
+    __slots__ = ()
+
+    def set(self) -> None:
+        pass
+
+
+_UNQUEUED = _Unqueued()
+
+
 class _Pending:
     """One submitted request waiting for its slice of a batched result."""
 
@@ -124,7 +139,9 @@ class _Pending:
                  raw=None,
                  row_hint: int = 1):
         self.inputs = inputs
-        self.event = threading.Event()
+        #: set once ``result``/``error`` is in place (real events are
+        #: created at enqueue; an unqueued request needs no wake-up)
+        self.event = _UNQUEUED
         self.result: Optional[np.ndarray] = None
         self.error: Optional[Exception] = None
         #: (trace_id, parent_span_id) carried from the requesting connection
@@ -142,7 +159,7 @@ class _Pending:
         self.tenant = tenant
         #: set by the consumer once ``result`` is no longer needed; the
         #: worker's lease barrier waits on this before reusing the arena
-        self.consumed = threading.Event()
+        self.consumed = _UNQUEUED
         #: True when ``result`` is a view of a plan arena (volatile: only
         #: valid until ``consumed`` is set)
         self.arena = False
@@ -241,19 +258,11 @@ class BatchingExecutor:
                  use_plans: bool = True,
                  pool=None,
                  sched=None,
-                 latency: Optional[LatencyModel] = None,
-                 layer_cache: Optional[LayerCacheConfig] = None):
+                 latency: Optional[LatencyModel] = None):
         self.registry = registry
         self.policy = policy
         self.service_floor_s = service_floor_s
         self.use_plans = use_plans
-        #: optional :class:`repro.nn.engine.LayerCacheConfig`; when set,
-        #: each worker's plan gains a :class:`LayerCache` and batches are
-        #: served prefix → per-row probe → partial-batch suffix.  ``None``
-        #: (the default) keeps the execute path bit-for-bit unchanged.
-        self.layer_cache = layer_cache
-        #: model -> live LayerCache (populated lazily by workers)
-        self.layer_caches: Dict[str, LayerCache] = {}
         #: optional :class:`repro.core.procpool.ProcPoolExecutor`; when set,
         #: assembled batches execute in a worker *process* (weights in shared
         #: memory) instead of this thread, and the in-parent plan is skipped
@@ -292,20 +301,6 @@ class BatchingExecutor:
             self._expired = None
             self._stage_seconds = None
             self._fast_hits = None
-        if metrics is not None and layer_cache is not None:
-            # registered only when the cache is armed so a cache-off
-            # executor's metrics dump stays byte-identical to older builds
-            self._layer_cache_events = metrics.counter(
-                "djinn_layer_cache_events_total",
-                "Layer-cache probe outcomes, per model and event "
-                "(hit|miss|collision).", ("model", "event"))
-            self._layer_cache_fidelity = metrics.gauge(
-                "djinn_layer_cache_fidelity",
-                "Worst accepted hit distance (max |cached - probed| over "
-                "the split activation), per model.", ("model",))
-        else:
-            self._layer_cache_events = None
-            self._layer_cache_fidelity = None
         self._queues: Dict[str, Queue] = {}
         self._workers: Dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
@@ -348,29 +343,35 @@ class BatchingExecutor:
             worker.join(timeout=5.0)
 
     # -------------------------------------------------------------- submit
-    def _enqueue(self, model: str, inputs: Optional[np.ndarray],
+    def _request(self, inputs: Optional[np.ndarray],
                  trace: Optional[Tuple[int, int]],
-                 qos: Optional[Tuple[float, int, str]] = None,
+                 qos: Optional[Tuple[float, int, str]],
                  app=None, raw=None, row_hint: int = 1) -> _Pending:
-        # queue time starts when the caller hands the request over, not
-        # after worker/bookkeeping setup — the gap is queueing, not limbo
-        enqueue_s = self.clock()
-        queue = self._ensure_worker(model)
+        # stamped first: wrapping the request is part of the fast path's
+        # batch assembly (a queued request re-stamps at enqueue)
+        submitted_s = self.clock()
         deadline_s, priority, tenant = qos if qos is not None \
             else (float("inf"), 0, "")
         # no forced copy: the planned path gathers payloads straight into
         # the arena, the legacy path concatenates — neither needs contiguity
         if inputs is not None:
             inputs = np.asarray(inputs, dtype=np.float32)
-        pending = _Pending(inputs, trace, enqueue_s,
-                           deadline_s=deadline_s, priority=priority,
-                           tenant=tenant, app=app, raw=raw, row_hint=row_hint)
-        queue.put(pending)
+        return _Pending(inputs, trace, submitted_s, deadline_s=deadline_s,
+                        priority=priority, tenant=tenant, app=app, raw=raw,
+                        row_hint=row_hint)
+
+    def _enqueue(self, model: str, pending: _Pending) -> _Pending:
+        # queue time starts when the caller hands the request over, not
+        # after worker/bookkeeping setup — the gap is queueing, not limbo
+        pending.enqueue_s = self.clock()
+        pending.event = threading.Event()
+        pending.consumed = threading.Event()
+        self._ensure_worker(model).put(pending)
         pending.event.wait()
         if pending.error is not None:
             pending.consumed.set()  # unblock the worker's lease barrier
             raise pending.error
-        assert app is not None or pending.result is not None
+        assert pending.app is not None or pending.result is not None
         return pending
 
     def submit(self, model: str, inputs: np.ndarray,
@@ -389,11 +390,12 @@ class BatchingExecutor:
         raises :class:`repro.sched.DeadlineExceededError` instead of
         running.
         """
-        fast = self._try_fast(model, inputs=inputs, trace=trace, qos=qos)
+        pending = self._request(inputs, trace, qos)
+        fast = self._try_fast(model, pending)
         if fast is not _FAST_MISS:
             with fast:
                 return fast.outputs.copy()
-        pending = self._enqueue(model, inputs, trace, qos)
+        self._enqueue(model, pending)
         result = pending.result
         if pending.arena:
             result = result.copy()
@@ -409,10 +411,11 @@ class BatchingExecutor:
         planned path the model's worker holds the arena until then (a fast-
         path lease holds the parent-side plan instead; same contract).
         """
-        fast = self._try_fast(model, inputs=inputs, trace=trace, qos=qos)
+        pending = self._request(inputs, trace, qos)
+        fast = self._try_fast(model, pending)
         if fast is not _FAST_MISS:
             return fast
-        return ResultLease(self._enqueue(model, inputs, trace, qos))
+        return ResultLease(self._enqueue(model, pending))
 
     def submit_app(self, model: str, app, raw,
                    trace: Optional[Tuple[int, int]] = None,
@@ -429,44 +432,40 @@ class BatchingExecutor:
         of the DNN rows this payload expands to, used only for batch
         assembly before preprocess runs.
         """
-        fast = self._try_fast(model, trace=trace, qos=qos, app=app, raw=raw)
+        pending = self._request(None, trace, qos, app=app, raw=raw,
+                                row_hint=row_hint)
+        fast = self._try_fast(model, pending)
         if fast is not _FAST_MISS:
             return fast
-        pending = self._enqueue(model, None, trace, qos,
-                                app=app, raw=raw, row_hint=row_hint)
+        self._enqueue(model, pending)
         pending.consumed.set()  # nothing leased: the worker postprocessed
         return pending.result_obj
 
     # ----------------------------------------------------------- fast path
-    def _try_fast(self, model: str, inputs: Optional[np.ndarray] = None,
-                  trace: Optional[Tuple[int, int]] = None,
-                  qos: Optional[Tuple[float, int, str]] = None,
-                  app=None, raw=None):
-        """Batch-1 fast path: serve the request inline on the calling thread.
+    def _try_fast(self, model: str, pending: _Pending):
+        """Batch-1 fast path: run the request as a batch of one, inline.
 
         When the model's queue is empty and a parent-side plan lock is
         free, the queue handoff (enqueue, worker wake-up, coalescing
         window, two context switches) — and, under a proc pool, the slot
-        ring — are pure overhead for a batch of one.  This runs
-        preprocess, the planned forward, and postprocess right here and
-        returns the result: a :class:`_FastLease` for tensor submissions,
-        the postprocessed answer for app submissions.  ``_FAST_MISS``
-        means the caller takes the normal queue path.  It declines
+        ring — are pure overhead for a batch of one.  This admits the
+        request and runs it through :meth:`_run_batch`, the worker's own
+        batch code, on the calling thread: a :class:`_FastLease` comes
+        back for tensor submissions, the postprocessed answer for app
+        submissions.  ``_FAST_MISS`` means the caller enqueues ``pending``
+        — an app request then carries its preprocessed inputs, so the
+        worker never preprocesses it again.  The fast path declines
         whenever inline execution could change semantics: queued work
         (coalescing wins), a service floor (pacing lives in the worker),
         an armed fault plan (hook order must stay deterministic per seed),
-        an un-plannable model, or an already-expired deadline (the EDF
-        queue owns typed rejection).
+        an un-plannable model, an oversize request, or an already-expired
+        deadline (the EDF queue owns typed rejection).
         """
         if (not self.use_plans or self.service_floor_s
                 or faultsite.active is not None or self._closed
-                or self.layer_cache is not None
                 or model in self._fast_off):
-            # (an armed layer cache declines too: probes live in the
-            # worker's serve path and must see every request)
             return _FAST_MISS
-        if (qos is not None and self.sched is not None
-                and np.isfinite(qos[0]) and self.clock() >= qos[0]):
+        if self.sched is not None and self.clock() >= pending.deadline_s:
             return _FAST_MISS
         queue = self._queues.get(model)
         if queue is not None:
@@ -474,18 +473,18 @@ class BatchingExecutor:
                 else queue.qsize()
             if depth:
                 return _FAST_MISS
-        tracer = self.tracer
-        traced = tracer.enabled and trace is not None
-        enter = self.clock()
-        pre_start = pre_end = 0.0
-        if app is not None:
-            # preprocess errors propagate to the submitter as typed
-            # per-request failures, exactly like the queue path's
-            pre_start = self.clock()
-            inputs = app.preprocess(raw)
-            pre_end = self.clock()
-        inputs = np.asarray(inputs, dtype=np.float32)
-        rows = len(inputs)
+        # the fast path's dispatch work (wrapping, plan lookup, lock,
+        # copy-in) is its batch assembly — for app requests it starts once
+        # preprocess ends
+        start = pending.enqueue_s
+        if pending.app is not None:
+            # preprocess errors reach the submitter as typed per-request
+            # failures, exactly like the queue path's
+            kept, _, start, _ = self._preprocess_stage(model, [pending],
+                                                       defer=False)
+            if not kept:
+                raise pending.error
+        rows = len(pending.inputs)
         if not rows or rows > self.policy.max_batch:
             return _FAST_MISS  # oversize rides the legacy stacked path
         try:
@@ -495,99 +494,19 @@ class BatchingExecutor:
         except Exception:
             self._fast_off.add(model)
             return _FAST_MISS
-        net = self.registry.get(model)
-        sample_shape = tuple(net.input_shape)
-        if tuple(inputs.shape[1:]) != sample_shape:
-            raise ValueError(
-                f"request payload shape {inputs.shape[1:]} does not match "
-                f"model input shape {sample_shape}")
         if not plan.lock.acquire(blocking=False):
             return _FAST_MISS  # a concurrent batch owns the arena
+        if self._fast_hits is not None:
+            self._fast_hits.labels(model=model).inc()
         leased = False
         try:
-            np.copyto(plan.input_view(rows), inputs)
-            timer = (LayerTimer(self.clock)
-                     if traced and self.profile_layers else None)
-            forward_start = self.clock()
-            outputs = plan.execute(rows, timer=timer)
-            forward_end = self.clock()
-            self.latency.observe(model, rows, forward_end - forward_start)
-            self.executed_batches.setdefault(model, []).append(rows)
-            if self._batch_size is not None:
-                self._batch_size.labels(model=model).observe(rows)
-            if self._fast_hits is not None:
-                self._fast_hits.labels(model=model).inc()
-            # the fast path's dispatch work (asarray, plan lookup, lock,
-            # copy-in) is its batch assembly — account it like the worker's
-            # so fast-path traces stay gap-free for the cost ledger
-            assemble_from = pre_end if app is not None else enter
-            stage = self._stage_seconds
-            if stage is not None:
-                stage.labels(model=model, stage="net.forward").inc(
-                    forward_end - forward_start)
-                stage.labels(model=model, stage="batch.assemble").inc(
-                    max(0.0, forward_start - assemble_from))
-            if traced:
-                tid, parent = trace
-                if app is not None:
-                    tracer.add_span("app.preprocess", pre_start, pre_end,
-                                    tid, parent, category="app",
-                                    model=model, rows=rows)
-                tracer.add_span("batch.assemble", assemble_from,
-                                forward_start, tid, parent, category="batch",
-                                batch_size=rows, requests=1)
-                fspan = tracer.add_span("net.forward", forward_start,
-                                        forward_end, tid, parent,
-                                        category="compute", model=model,
-                                        batch_size=rows)
-                if timer is not None:
-                    timer.emit_spans(tracer, tid, fspan.span_id)
-            if app is not None:
-                self.latency.observe(f"{model}:preprocess", rows,
-                                     pre_end - pre_start)
-                if stage is not None:
-                    stage.labels(model=model, stage="preprocess").inc(
-                        pre_end - pre_start)
-                post_start = self.clock()
-                if stage is not None:
-                    stage.labels(model=model, stage="batch.assemble").inc(
-                        max(0.0, post_start - forward_end))
-                if traced:
-                    # post-forward bookkeeping (metrics, span emission) is
-                    # the fast path's batch disassembly — keep it covered
-                    tracer.add_span("batch.scatter", forward_end, post_start,
-                                    tid, parent, category="batch",
-                                    batch_size=rows)
-                result = app.postprocess_batch(outputs, [raw], [rows])[0]
-                post_end = self.clock()
-                self.latency.observe(f"{model}:postprocess", rows,
-                                     post_end - post_start)
-                if stage is not None:
-                    stage.labels(model=model, stage="postprocess").inc(
-                        post_end - post_start)
-                if traced:
-                    tracer.add_span("app.postprocess", post_start, post_end,
-                                    tid, parent, category="app", model=model)
-                return result
-            # a fresh slice view: the read-only flag must not stick to the
-            # plan's own output slab (the next execute writes into it)
-            view = outputs[0:rows]
-            if view.flags.writeable:
-                view.flags.writeable = False  # consumers copy, never mutate
-            delivered = self.clock()
-            if stage is not None:
-                stage.labels(model=model, stage="batch.assemble").inc(
-                    max(0.0, delivered - forward_end))
-            if traced:
-                # post-forward bookkeeping (metrics, span emission, view
-                # hand-out) is the fast path's batch disassembly; respond
-                # accounting takes over at the delivered stamp
-                tracer.add_span("batch.scatter", forward_end, delivered,
-                                tid, parent, category="batch",
-                                batch_size=rows)
-            lease = _FastLease(view, delivered, plan.lock)
-            leased = True  # lock ownership moved into the lease
-            return lease
+            self._run_batch(model, plan, [pending], start)
+            if pending.error is not None:
+                raise pending.error  # a failed postprocess
+            if pending.app is not None:
+                return pending.result_obj
+            leased = True  # lock ownership moves into the lease
+            return _FastLease(pending.result, pending.delivered_s, plan.lock)
         finally:
             if not leased:
                 plan.lock.release()
@@ -624,10 +543,16 @@ class BatchingExecutor:
         return batch
 
     @staticmethod
-    def _gather(plan, batch: List[_Pending], rows: int,
-                sample_shape: Tuple[int, ...]) -> None:
+    def _rows(pending: _Pending) -> int:
+        """DNN rows a request contributes (raw parts before preprocess)."""
+        return (len(pending.raw_parts) if pending.inputs is None
+                else len(pending.inputs))
+
+    @staticmethod
+    def _gather(plan, batch: List[_Pending], rows: int) -> None:
         """Copy request payloads into the plan's input slab, in order."""
         slab = plan.input_view(rows)
+        sample_shape = slab.shape[1:]
         offset = 0
         for pending in batch:
             arr = pending.inputs
@@ -694,18 +619,22 @@ class BatchingExecutor:
                 return [], collect_start
 
     # ------------------------------------------------------------ app stages
-    def _preprocess_stage(self, model: str, batch: List[_Pending]):
+    def _preprocess_stage(self, model: str, batch: List[_Pending],
+                          defer: bool = True):
         """Stage 1 of the app pipeline: batched server-side preprocess.
 
-        Runs *before* the plan lock is taken (preprocess needs no arena).
-        Returns ``(batch, pre_start, pre_end, deferred)``: the surviving
-        requests — a poisoned raw payload errors out individually, the
-        rest of the batch proceeds — the stage's extent (``0.0, 0.0`` when
-        the batch carried no raw payloads), and whether preprocessing was
-        deferred into the proc-pool worker process (slot-eligible raw
-        payloads ship as raw parts and are preprocessed in the shm slot).
+        Runs *before* the plan lock is taken (preprocess needs no arena),
+        over the app requests still holding only their raw payload (one
+        the fast path declined arrives preprocessed).  Returns ``(batch,
+        pre_start, pre_end, deferred)``: the surviving requests — a
+        poisoned raw payload errors out individually, the rest of the
+        batch proceeds — the stage's extent (``0.0, 0.0`` when the batch
+        carried no raw payloads), and whether preprocessing was deferred
+        into the proc-pool worker process (with ``defer``, slot-eligible
+        raw payloads ship as raw parts and are preprocessed in the shm
+        slot).
         """
-        if not any(p.app is not None for p in batch):
+        if not any(p.app is not None and p.inputs is None for p in batch):
             return batch, 0.0, 0.0, False
         pre_start = self.clock()
         injector = faultsite.active
@@ -727,10 +656,11 @@ class BatchingExecutor:
             if not batch:
                 return batch, pre_start, self.clock(), False
         pool = self.pool
-        if pool is not None and len(batch) <= pool.max_batch:
+        if defer and pool is not None and len(batch) <= pool.max_batch:
             raw_shape = getattr(pool, "raw_item_shape", lambda m: None)(model)
             if raw_shape is not None and all(
-                    p.app is not None and isinstance(p.raw, np.ndarray)
+                    p.app is not None and p.inputs is None
+                    and isinstance(p.raw, np.ndarray)
                     and tuple(p.raw.shape) == raw_shape for p in batch):
                 # preprocess moves into the worker process: each payload
                 # ships as one raw slot part (1 raw item -> 1 DNN row for
@@ -740,11 +670,10 @@ class BatchingExecutor:
                 return batch, pre_start, self.clock(), True
         by_app: Dict[int, Tuple[object, List[_Pending]]] = {}
         for p in batch:
-            if p.app is not None:
+            if p.app is not None and p.inputs is None:
                 by_app.setdefault(id(p.app), (p.app, []))[1].append(p)
-        n_raw = 0
-        rows_pre = 0
         failed = set()
+        fresh: List[_Pending] = []  # requests preprocessed by this call
         for app, group in by_app.values():
             try:
                 inputs, counts = app.preprocess_batch([p.raw for p in group])
@@ -765,42 +694,42 @@ class BatchingExecutor:
                         p.event.set()
                         p.consumed.set()
                         failed.add(id(p))
-            for p in group:
-                if id(p) not in failed:
-                    n_raw += 1
-                    rows_pre += len(p.inputs)
+            fresh.extend(p for p in group if id(p) not in failed)
         if failed:
             batch = [p for p in batch if id(p) not in failed]
         pre_end = self.clock()
+        rows_pre = sum(len(p.inputs) for p in fresh)
         if rows_pre:
             self.latency.observe(f"{model}:preprocess", rows_pre,
                                  pre_end - pre_start)
-        if self._stage_seconds is not None and n_raw:
+        if self._stage_seconds is not None and fresh:
             self._stage_seconds.labels(model=model, stage="preprocess").inc(
-                (pre_end - pre_start) * n_raw)
+                (pre_end - pre_start) * len(fresh))
         tracer = self.tracer
         if tracer.enabled:
-            for p in batch:
-                if p.app is not None and p.trace is not None:
+            for p in fresh:
+                if p.trace is not None:
                     tid, parent = p.trace
                     tracer.add_span("app.preprocess", pre_start, pre_end,
                                     tid, parent, category="app", model=model,
                                     rows=len(p.inputs))
         return batch, pre_start, pre_end, False
 
-    def _postprocess_stage(self, model: str, batch: List[_Pending]) -> None:
+    def _postprocess_stage(self, model: str, batch: List[_Pending],
+                           post_start: float) -> None:
         """Stage 3 of the app pipeline: batched postprocess.
 
         App waiters receive their final application answer instead of an
         arena view — the view is consumed *here*, worker-side, so those
         waiters never participate in the lease barrier.  A failing
         postprocess falls back to the per-item loop so only the offending
-        request errors.
+        request errors.  The stage starts at ``post_start``, the batch's
+        delivery stamp, so the scatter bookkeeping in between stays
+        attributed.
         """
         apps = [p for p in batch if p.app is not None]
         if not apps:
             return
-        post_start = self.clock()
         by_app: Dict[int, Tuple[object, List[_Pending]]] = {}
         for p in apps:
             by_app.setdefault(id(p.app), (p.app, []))[1].append(p)
@@ -842,8 +771,6 @@ class BatchingExecutor:
                                     tid, parent, category="app", model=model)
 
     def _run_worker(self, model: str, queue) -> None:
-        net = self.registry.get(model)
-        tracer = self.tracer
         plan = None
         if self.use_plans and self.pool is None:
             # with a proc pool the arena lives in the worker process; no
@@ -852,15 +779,6 @@ class BatchingExecutor:
                 plan = self.registry.plan(model, self.policy.max_batch)
             except Exception:  # un-plannable nets serve via the legacy path
                 plan = None
-        cache = None
-        if plan is not None and self.layer_cache is not None:
-            try:
-                cache = LayerCache.from_config(plan, self.layer_cache)
-            except PlanError:  # no safe split: serve uncached
-                cache = None
-            else:
-                self.layer_caches[model] = cache
-        sample_shape = tuple(net.input_shape)
         while True:
             collect_start = 0.0
             if self.sched is not None:
@@ -873,14 +791,11 @@ class BatchingExecutor:
                 self._preprocess_stage(model, batch)
             if not batch:
                 continue  # every raw payload in the batch was poisoned
-            had_pre = pre_end > 0.0
-            rows = sum(len(p.raw_parts) if p.inputs is None else len(p.inputs)
-                       for p in batch)
             # _collect admits one oversize request past max_batch; those
             # batches overflow the arena (or pool slot) and take the legacy
             # stacked path
-            use_pool = self.pool is not None and rows <= self.pool.max_batch
-            use_plan = plan is not None and rows <= plan.max_batch
+            use_plan = (plan is not None and sum(map(self._rows, batch))
+                        <= plan.max_batch)
             lease = None
             if use_plan:
                 plan.lock.acquire()
@@ -890,163 +805,11 @@ class BatchingExecutor:
                 start = self.clock()
                 # with an app preprocess stage in front, queueing ends when
                 # preprocess picks the request up — the stages stay exclusive
-                queue_end = pre_start if had_pre else start
-                traced = ([p for p in batch if p.trace is not None]
-                          if tracer.enabled else [])
-                for pending in traced:
-                    tid, parent = pending.trace
-                    qspan = tracer.add_span("backend.queue", pending.enqueue_s,
-                                            queue_end, tid, parent,
-                                            category="queue", model=model)
-                    if self.sched is not None:
-                        wait_from = max(pending.enqueue_s, collect_start)
-                        if queue_end > wait_from:
-                            tracer.add_span("sched.wait", wait_from, queue_end,
-                                            tid, qspan.span_id,
-                                            category="sched", model=model)
-                if use_plan:
-                    self._gather(plan, batch, rows, sample_shape)
-                elif not use_pool:
-                    stacked = np.concatenate([p.inputs for p in batch], axis=0)
-                timer = (LayerTimer(self.clock)
-                         if traced and self.profile_layers else None)
-                served = None
-                forward_start = self.clock()
-                if use_plan:
-                    if cache is not None:
-                        served = cache.serve(rows, timer=timer,
-                                             clock=self.clock)
-                        outputs = served.outputs
-                    else:
-                        outputs = plan.execute(rows, timer=timer)
-                elif use_pool:
-                    # gather happens directly into the shm slot; the result
-                    # stays pinned there under the lease until every waiter
-                    # has consumed its view.  A deferred batch ships *raw*
-                    # parts: the worker process preprocesses in-slot before
-                    # its forward (stage 1 parallelism across pool workers).
-                    if deferred:
-                        lease = self.pool.submit_parts(
-                            model,
-                            [part for p in batch for part in p.raw_parts],
-                            raw=True)
-                    else:
-                        lease = self.pool.submit_parts(
-                            model, [p.inputs for p in batch])
-                    outputs = lease.outputs
-                else:
-                    outputs = net.forward(stacked, timer=timer)
-                forward_end = self.clock()
-                if self.service_floor_s:
-                    # pace before the post-forward accounting so the paced
-                    # idle stays out of the scatter span (it is injected
-                    # device time, honestly left unattributed)
-                    remaining = self.service_floor_s - (self.clock() - start)
-                    if remaining > 0:
-                        time.sleep(remaining)
-                post_start = self.clock()
-                # refine the measured latency curve on every executed batch
-                self.latency.observe(model, rows, forward_end - forward_start)
-                for pending in traced:
-                    # assemble emitted late so its extent can run right up to
-                    # the forward (gather + timer setup, gap-free)
-                    tid, parent = pending.trace
-                    tracer.add_span("batch.assemble", start, forward_start,
-                                    tid, parent, category="batch",
-                                    batch_size=rows, requests=len(batch))
-                    fspan = tracer.add_span("net.forward", forward_start,
-                                            forward_end, tid, parent,
-                                            category="compute", model=model,
-                                            batch_size=rows)
-                    if served is not None:
-                        # nested child of net.forward: the cost ledger's
-                        # deepest-span-wins sweep carves the probe window
-                        # out of the forward's exclusive time
-                        tracer.add_span("engine.cache", served.probe_start,
-                                        served.probe_end, tid, fspan.span_id,
-                                        category="compute", model=model,
-                                        hits=served.hits,
-                                        misses=served.misses)
-                    if timer is not None:
-                        timer.emit_spans(tracer, tid, fspan.span_id)
-                self.executed_batches[model].append(rows)
-                if self._batch_size is not None:
-                    self._batch_size.labels(model=model).observe(rows)
-                offset = 0
-                for pending in batch:
-                    n = (len(pending.raw_parts) if pending.inputs is None
-                         else len(pending.inputs))
-                    view = outputs[offset:offset + n]
-                    if view.flags.writeable:
-                        view.flags.writeable = False  # consumers copy, never mutate
-                    # cache-served outputs are an owned assembled array, not
-                    # arena slabs — the views stay durable past the barrier
-                    pending.arena = ((use_plan and served is None)
-                                     or lease is not None)
-                    pending.result = view
-                    offset += n
-                if served is not None:
-                    ev = self._layer_cache_events
-                    if ev is not None:
-                        if served.hits:
-                            ev.labels(model=model, event="hit").inc(
-                                served.hits)
-                        if served.misses:
-                            ev.labels(model=model, event="miss").inc(
-                                served.misses)
-                        if served.collisions:
-                            ev.labels(model=model, event="collision").inc(
-                                served.collisions)
-                        self._layer_cache_fidelity.labels(model=model).set(
-                            served.fidelity_max)
-                if self._stage_seconds is not None:
-                    # request-weighted: each waiter experienced the assemble
-                    # and forward; queue time is summed per request.  Stages
-                    # are exclusive (matching the cost ledger): the policy
-                    # wait slice goes to sched.wait, not backend.queue too.
-                    stage = self._stage_seconds
-                    if self.sched is not None and collect_start:
-                        queue_s = sum(
-                            max(0.0, min(queue_end, collect_start)
-                                - p.enqueue_s)
-                            for p in batch)
-                        wait_s = sum(
-                            max(0.0, queue_end - max(p.enqueue_s, collect_start))
-                            for p in batch)
-                        if wait_s > 0:
-                            stage.labels(model=model, stage="sched.wait").inc(wait_s)
-                    else:
-                        queue_s = sum(max(0.0, queue_end - p.enqueue_s)
-                                      for p in batch)
-                    stage.labels(model=model, stage="backend.queue").inc(queue_s)
-                    forward_s = forward_end - forward_start
-                    if served is not None:
-                        # stages stay exclusive: the probe window moves from
-                        # net.forward into engine.cache
-                        probe_s = max(0.0, min(forward_s,
-                                               served.probe_end
-                                               - served.probe_start))
-                        forward_s -= probe_s
-                        stage.labels(model=model, stage="engine.cache").inc(
-                            probe_s * len(batch))
-                    stage.labels(model=model, stage="net.forward").inc(
-                        forward_s * len(batch))
-                delivered = self.clock()
-                for pending in batch:
-                    pending.delivered_s = delivered
-                for pending in traced:
-                    # batch disassembly: accounting + handing each waiter its
-                    # result view, the tail of the batching overhead
-                    tid, parent = pending.trace
-                    tracer.add_span("batch.scatter", post_start, delivered,
-                                    tid, parent, category="batch",
-                                    batch_size=rows)
-                if self._stage_seconds is not None:
-                    self._stage_seconds.labels(
-                        model=model, stage="batch.assemble").inc(
-                        ((forward_start - start) + (delivered - post_start))
-                        * len(batch))
-                self._postprocess_stage(model, batch)
+                self._account_queue(model, batch,
+                                    pre_start if pre_end > 0.0 else start,
+                                    collect_start)
+                lease = self._run_batch(model, plan if use_plan else None,
+                                        batch, start, deferred)
             except Exception as exc:  # deliver failures to every waiter
                 for pending in batch:
                     pending.error = exc
@@ -1068,3 +831,158 @@ class BatchingExecutor:
                             plan.lock.release()
                         if lease is not None:
                             lease.release()
+
+    def _account_queue(self, model: str, batch: List[_Pending],
+                       queue_end: float, collect_start: float) -> None:
+        """Charge each queued request's wait up to ``queue_end``.
+
+        Emits ``backend.queue`` spans and stage seconds; under a scheduling
+        policy the slice after ``collect_start`` (policy-imposed wait, vs.
+        backlog) goes to ``sched.wait`` instead — stages stay exclusive,
+        matching the cost ledger.
+        """
+        tracer = self.tracer
+        if tracer.enabled:
+            for pending in batch:
+                if pending.trace is None:
+                    continue
+                tid, parent = pending.trace
+                qspan = tracer.add_span("backend.queue", pending.enqueue_s,
+                                        queue_end, tid, parent,
+                                        category="queue", model=model)
+                if self.sched is not None:
+                    wait_from = max(pending.enqueue_s, collect_start)
+                    if queue_end > wait_from:
+                        tracer.add_span("sched.wait", wait_from, queue_end,
+                                        tid, qspan.span_id,
+                                        category="sched", model=model)
+        stage = self._stage_seconds
+        if stage is None:
+            return
+        if self.sched is not None and collect_start:
+            queue_s = sum(
+                max(0.0, min(queue_end, collect_start) - p.enqueue_s)
+                for p in batch)
+            wait_s = sum(
+                max(0.0, queue_end - max(p.enqueue_s, collect_start))
+                for p in batch)
+            if wait_s > 0:
+                stage.labels(model=model, stage="sched.wait").inc(wait_s)
+        else:
+            queue_s = sum(max(0.0, queue_end - p.enqueue_s) for p in batch)
+        stage.labels(model=model, stage="backend.queue").inc(queue_s)
+
+    def _run_batch(self, model: str, plan, batch: List[_Pending],
+                   start: float, deferred: bool = False):
+        """Run one assembled batch: gather → forward → scatter → postprocess.
+
+        The single copy of the batch stage: the worker calls it for every
+        coalesced batch, the fast path for a batch of one, so both emit the
+        same spans and ``djinn_stage_seconds_total`` stages.  ``plan`` is
+        the arena to run on, locked by the caller; ``None`` sends the
+        batch to the proc pool when it fits (``deferred``: as raw parts
+        the pool worker preprocesses), else to the legacy stacked forward.
+        ``start`` is where batch assembly began.  Every waiter gets its
+        read-only result slice, app waiters their postprocessed answer;
+        waking waiters and the lease barrier stay with the caller.
+        Returns the proc-pool slot lease pinning the outputs (``None`` off
+        the pool); on failure it is released and the error propagates.
+        """
+        tracer = self.tracer
+        traced = ([p for p in batch if p.trace is not None]
+                  if tracer.enabled else [])
+        rows = sum(map(self._rows, batch))
+        use_pool = (plan is None and self.pool is not None
+                    and rows <= self.pool.max_batch)
+        lease = None
+        try:
+            if plan is not None:
+                self._gather(plan, batch, rows)
+            elif not use_pool:
+                stacked = np.concatenate([p.inputs for p in batch], axis=0)
+            timer = (LayerTimer(self.clock)
+                     if traced and self.profile_layers else None)
+            forward_start = self.clock()
+            if plan is not None:
+                outputs = plan.execute(rows, timer=timer)
+            elif use_pool:
+                # gather happens directly into the shm slot; the result
+                # stays pinned there under the lease until every waiter
+                # has consumed its view.  A deferred batch ships *raw*
+                # parts: the worker process preprocesses in-slot before
+                # its forward (stage 1 parallelism across pool workers).
+                if deferred:
+                    lease = self.pool.submit_parts(
+                        model, [part for p in batch for part in p.raw_parts],
+                        raw=True)
+                else:
+                    lease = self.pool.submit_parts(
+                        model, [p.inputs for p in batch])
+                outputs = lease.outputs
+            else:
+                outputs = self.registry.get(model).forward(stacked,
+                                                           timer=timer)
+            forward_end = self.clock()
+            if self.service_floor_s:
+                # pace before the post-forward accounting so the paced
+                # idle stays out of the scatter span (it is injected
+                # device time, honestly left unattributed)
+                remaining = self.service_floor_s - (self.clock() - start)
+                if remaining > 0:
+                    time.sleep(remaining)
+            post_start = self.clock()
+            # refine the measured latency curve on every executed batch
+            self.latency.observe(model, rows, forward_end - forward_start)
+            for pending in traced:
+                # assemble emitted late so its extent can run right up to
+                # the forward (gather + timer setup, gap-free)
+                tid, parent = pending.trace
+                tracer.add_span("batch.assemble", start, forward_start,
+                                tid, parent, category="batch",
+                                batch_size=rows, requests=len(batch))
+                fspan = tracer.add_span("net.forward", forward_start,
+                                        forward_end, tid, parent,
+                                        category="compute", model=model,
+                                        batch_size=rows)
+                if timer is not None:
+                    timer.emit_spans(tracer, tid, fspan.span_id)
+            # setdefault: a fast-path batch can run before the worker exists
+            self.executed_batches.setdefault(model, []).append(rows)
+            if self._batch_size is not None:
+                self._batch_size.labels(model=model).observe(rows)
+            offset = 0
+            for pending in batch:
+                n = self._rows(pending)
+                # a fresh slice view: the read-only flag must not stick to
+                # the plan's own output slab (the next execute writes it)
+                view = outputs[offset:offset + n]
+                if view.flags.writeable:
+                    view.flags.writeable = False  # consumers copy, never mutate
+                pending.arena = plan is not None or lease is not None
+                pending.result = view
+                offset += n
+            if self._stage_seconds is not None:
+                # request-weighted: each waiter experienced the forward
+                self._stage_seconds.labels(model=model, stage="net.forward").inc(
+                    (forward_end - forward_start) * len(batch))
+            delivered = self.clock()
+            for pending in batch:
+                pending.delivered_s = delivered
+            for pending in traced:
+                # batch disassembly: accounting + handing each waiter its
+                # result view, the tail of the batching overhead
+                tid, parent = pending.trace
+                tracer.add_span("batch.scatter", post_start, delivered,
+                                tid, parent, category="batch",
+                                batch_size=rows)
+            if self._stage_seconds is not None:
+                self._stage_seconds.labels(
+                    model=model, stage="batch.assemble").inc(
+                    ((forward_start - start) + (delivered - post_start))
+                    * len(batch))
+            self._postprocess_stage(model, batch, delivered)
+        except BaseException:
+            if lease is not None:
+                lease.release()
+            raise
+        return lease

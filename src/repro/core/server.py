@@ -62,7 +62,6 @@ class TcpServiceBase:
         self._host, self._port = host, port
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._workers = []
         self._conns = []
         self._conns_lock = threading.Lock()
         self._running = threading.Event()
@@ -151,12 +150,10 @@ class TcpServiceBase:
                 continue
             with self._conns_lock:
                 self._conns.append(conn)
-            worker = threading.Thread(
+            threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True,
                 name=f"{self.service_name}-worker",
-            )
-            self._workers.append(worker)
-            worker.start()
+            ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
@@ -274,13 +271,6 @@ class DjinnServer(TcpServiceBase):
         the stateless Tonic apps (``imc``, ``dig``, ``face``, ``asr`` — see
         :func:`repro.tonic.serve.build_default_apps`); the NLP taggers
         carry trained featurizer state and must be passed explicitly.
-    layer_cache:
-        Optional :class:`repro.nn.engine.LayerCacheConfig` arming the
-        engine-level activation cache: each batching worker's plan serves
-        prefix → per-row digest probe → partial-batch suffix, memoizing
-        suffix outputs for duplicate (or, with a tolerance, near-duplicate)
-        inputs.  Requires ``batching``; ``None`` (default) keeps the
-        forward path bit-for-bit unchanged.
     """
 
     #: pool batch envelope when serving without a batching policy — single
@@ -304,7 +294,6 @@ class DjinnServer(TcpServiceBase):
         session_limit: int = 64,
         session_idle_s: float = 30.0,
         apps=None,
-        layer_cache=None,
     ):
         super().__init__(host=host, port=port)
         if service_floor_s < 0:
@@ -312,9 +301,6 @@ class DjinnServer(TcpServiceBase):
         if sched is not None and not batching:
             raise ValueError("sched requires a batching policy "
                              "(the scheduler drives the batch queues)")
-        if layer_cache is not None and not batching:
-            raise ValueError("layer_cache requires a batching policy "
-                             "(probes run at batch assembly)")
         self.registry = registry
         self._clock = clock
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -379,7 +365,7 @@ class DjinnServer(TcpServiceBase):
                 registry, batching, service_floor_s=service_floor_s,
                 clock=clock, tracer=self.tracer,
                 metrics=self.metrics, profile_layers=profile_layers,
-                pool=self._pool, sched=sched, layer_cache=layer_cache)
+                pool=self._pool, sched=sched)
         else:
             self._executor = self._pool  # may be None: bare threaded serving
 

@@ -42,10 +42,6 @@ class ClusterLauncher:
         each backend front its own shared-memory process pool.  With a
         shared registry the weight segments are exported once and mapped by
         every backend's workers — still one physical copy per host.
-    layer_cache:
-        Optional :class:`repro.nn.engine.LayerCacheConfig` forwarded to
-        every backend, arming the engine-level activation cache (requires
-        ``batching``).
     """
 
     def __init__(
@@ -59,7 +55,6 @@ class ClusterLauncher:
         profile_layers: bool = False,
         workers=None,
         worker_fault_plan=None,
-        layer_cache=None,
     ):
         if backends < 1:
             raise ValueError(f"need at least one backend, got {backends}")
@@ -72,7 +67,6 @@ class ClusterLauncher:
         self._profile_layers = profile_layers
         self._workers = workers
         self._worker_fault_plan = worker_fault_plan
-        self._layer_cache = layer_cache
         self.servers: List[DjinnServer] = []
 
     def _registry_for(self, index: int) -> ModelRegistry:
@@ -92,7 +86,6 @@ class ClusterLauncher:
                 profile_layers=self._profile_layers,
                 workers=self._workers,
                 worker_fault_plan=self._worker_fault_plan,
-                layer_cache=self._layer_cache,
             )
             server.start()
             self.servers.append(server)

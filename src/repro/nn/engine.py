@@ -48,19 +48,15 @@ every response view has been serialized (its lease barrier).
 
 from __future__ import annotations
 
-import hashlib
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .layers.base import Layer
 from .layers.merge import MultiInputLayer
 
-__all__ = ["PlanError", "ExecutionPlan", "LayerCache", "LayerCacheConfig",
-           "measure_steady_state_alloc"]
+__all__ = ["PlanError", "ExecutionPlan", "measure_steady_state_alloc"]
 
 #: Reserved top name for the network input (mirrors ``repro.nn.graph.INPUT``).
 INPUT = "input"
@@ -95,13 +91,12 @@ class _Step:
 class _Views:
     """Per-batch-size bound views over the arena (cached per ``n``)."""
 
-    __slots__ = ("input", "output", "steps", "tops")
+    __slots__ = ("input", "output", "steps")
 
-    def __init__(self, input_view, output_view, steps, tops):
+    def __init__(self, input_view, output_view, steps):
         self.input = input_view
         self.output = output_view
         self.steps = steps
-        self.tops = tops
 
 
 class ExecutionPlan:
@@ -220,9 +215,6 @@ class ExecutionPlan:
         self._slot_of = slot_of
         self._slot_bytes = slot_bytes
         self._slot_last_use = last_use
-        # retained for split-point liveness (live_tops / run_from)
-        self._reads = reads
-        self._produced_at = produced_at
 
     def _layout(self) -> None:
         """First-fit offsets driven by slot liveness (the ping/pong slabs)."""
@@ -293,7 +285,7 @@ class ExecutionPlan:
                 off += _align(nbytes)
             xs = [top_view[b] for b in step.bottoms]
             bound.append((step, xs, top_view[step.top], scratch))
-        views = _Views(top_view[INPUT], top_view[self._output], bound, top_view)
+        views = _Views(top_view[INPUT], top_view[self._output], bound)
         self._view_cache[n] = views
         return views
 
@@ -327,119 +319,6 @@ class ExecutionPlan:
             if timer is not None:
                 timer.end(layer)
         return views.output
-
-    def execute_range(self, n: int, start: int, stop: Optional[int] = None,
-                      timer=None) -> np.ndarray:
-        """Run only steps ``[start, stop)`` over the arena for batch ``n``.
-
-        The building block of split execution: ``execute_range(n, 0, k + 1)``
-        is the prefix through layer ``k``, ``execute_range(n, k + 1)`` the
-        suffix from it.  Callers restoring state for a suffix run must have
-        written every :meth:`live_tops` buffer first (``run_from`` does).
-        Returns the output-slab view (meaningful once the final step ran).
-        """
-        if not self.net.materialized:
-            raise PlanError(f"net {self.net.name!r} is not materialized")
-        if stop is None:
-            stop = len(self._steps)
-        if not 0 <= start <= stop <= len(self._steps):
-            raise PlanError(
-                f"step range [{start}, {stop}) outside plan "
-                f"[0, {len(self._steps)})")
-        views = self._views_for(n)
-        for step, xs, out, scratch in views.steps[start:stop]:
-            layer = step.layer
-            if timer is not None:
-                timer.begin(layer)
-            if not step.alias:
-                layer.forward_into(xs if step.multi else xs[0], out, scratch,
-                                   train=False)
-            if timer is not None:
-                timer.end(layer)
-        return views.output
-
-    # -------------------------------------------------------- split points
-    def live_tops(self, k: int) -> Tuple[str, ...]:
-        """Tops still needed by steps after ``k`` — the restore set.
-
-        A suffix run from split point ``k`` (steps ``k+1..``) reads exactly
-        these buffers: every top produced at or before step ``k`` (the input
-        counts as step ``-1``) with a reader after ``k``.  The network
-        output's phantom read keeps it live through the last step.  Slot
-        reuse never clobbers a live top *before* its last read, so a
-        snapshot taken right after step ``k`` executes is always intact.
-        """
-        if not 0 <= k < len(self._steps):
-            raise PlanError(
-                f"split point {k} outside plan steps [0, {len(self._steps)})")
-        names = []
-        for name in self._shapes:
-            if self._produced_at.get(name, -1) > k:
-                continue
-            if any(j > k for j in self._reads[name]):
-                names.append(name)
-        return tuple(names)
-
-    def safe_splits(self) -> Tuple[int, ...]:
-        """Split points where step ``k``'s own top is the *only* live buffer.
-
-        At these points a digest of layer ``k``'s activation fully
-        determines the suffix output, which is what makes layer caching
-        sound there (see :class:`LayerCache`).  Chains qualify at every
-        layer; DAG fan-out regions disqualify the splits they span.
-        """
-        return tuple(
-            k for k in range(len(self._steps))
-            if self.live_tops(k) == (self._steps[k].top,))
-
-    def snapshot(self, k: int, n: int) -> Dict[str, np.ndarray]:
-        """Owned copies of every live top at split ``k`` for batch ``n``.
-
-        Only meaningful immediately after the prefix through step ``k`` has
-        executed for this batch (``execute_range(n, 0, k + 1)``); later
-        steps may reuse a live top's arena range once its last read passes.
-        Callers hold :attr:`lock`.
-        """
-        views = self._views_for(n)
-        return {name: views.tops[name].copy() for name in self.live_tops(k)}
-
-    def run_from(self, k: int,
-                 restored: Union[np.ndarray, Mapping[str, np.ndarray]],
-                 timer=None) -> np.ndarray:
-        """Restore split-``k`` state and execute only the suffix.
-
-        ``restored`` maps top names to ``(n, *shape)`` activations — a
-        :meth:`snapshot` taken at the same split — or is a bare array when
-        a single top is live there (every :meth:`safe_splits` point).  The
-        suffix runs the same ``forward_into`` kernels over the same arena
-        views as a full pass at batch ``n``, so the result is byte-identical
-        to the full execution that produced the snapshot — pinned per model
-        and per split in ``tests/test_cache.py``.  Returns an owned copy.
-        """
-        names = self.live_tops(k)
-        if isinstance(restored, np.ndarray):
-            if len(names) != 1:
-                raise PlanError(
-                    f"split {k} has live tops {names}; pass a mapping")
-            restored = {names[0]: restored}
-        if set(restored) != set(names):
-            raise PlanError(
-                f"split {k} needs tops {sorted(names)}, "
-                f"got {sorted(restored)}")
-        sizes = {np.asarray(a).shape[0] for a in restored.values()}
-        if len(sizes) != 1:
-            raise PlanError(f"inconsistent batch sizes {sorted(sizes)}")
-        n = sizes.pop()
-        with self.lock:
-            views = self._views_for(n)
-            for name in names:
-                arr = np.asarray(restored[name], dtype=np.float32)
-                if arr.shape != views.tops[name].shape:
-                    raise PlanError(
-                        f"restored top {name!r} has shape {arr.shape}, "
-                        f"plan expects {views.tops[name].shape}")
-                np.copyto(views.tops[name], arr)
-            return self.execute_range(n, k + 1, timer=timer).copy()
 
     def run(self, x: np.ndarray, timer=None) -> np.ndarray:
         """Gather ``x`` into the arena, execute, return an owned copy.
@@ -514,233 +393,6 @@ class ExecutionPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ExecutionPlan({self.net.name!r}, max_batch={self.max_batch}, "
                 f"arena={self.arena_bytes}B, scratch={self.scratch_bytes}B)")
-
-
-@dataclass(frozen=True)
-class LayerCacheConfig:
-    """Knobs for :class:`LayerCache` (the engine-level activation cache).
-
-    ``split`` is the step index to cache at (``-1`` picks the earliest safe
-    split, maximizing the skipped suffix); ``max_entries`` bounds the LRU of
-    retained activation snapshots; ``tolerance`` quantizes the activation
-    digest so near-duplicates share a key (``0.0`` = exact bytes only, the
-    lossless default).
-    """
-
-    split: int = -1
-    max_entries: int = 256
-    tolerance: float = 0.0
-
-    def __post_init__(self):
-        if self.max_entries < 1:
-            raise ValueError(
-                f"max_entries must be >= 1, got {self.max_entries}")
-        if self.tolerance < 0.0:
-            raise ValueError(
-                f"tolerance must be >= 0, got {self.tolerance}")
-
-
-class _CacheServe:
-    """Outcome of one :meth:`LayerCache.serve` call (worker accounting)."""
-
-    __slots__ = ("outputs", "hits", "misses", "collisions",
-                 "fidelity_max", "probe_start", "probe_end")
-
-    def __init__(self, outputs, hits, misses, collisions, fidelity_max,
-                 probe_start, probe_end):
-        self.outputs = outputs
-        self.hits = hits
-        self.misses = misses
-        self.collisions = collisions
-        self.fidelity_max = fidelity_max
-        self.probe_start = probe_start
-        self.probe_end = probe_end
-
-
-class LayerCache:
-    """Memoize suffix execution keyed on a digest of layer-``k`` activations.
-
-    The amortization axis past batching (arXiv 2209.08625): near-duplicate
-    inputs produce near-duplicate early activations, so after running the
-    prefix through the split layer, a digest of that activation can stand in
-    for the whole suffix.  A hit skips ``execute_range(k+1, ..)`` and reuses
-    the cached output row; misses run as one *partial-batch suffix* over the
-    plan's existing slabs and are inserted afterwards.
-
-    Safety: only :meth:`ExecutionPlan.safe_splits` points are legal — there
-    the split layer's top is the sole live buffer, so its bytes fully
-    determine the suffix.  Every cached entry retains the activation
-    snapshot that produced it; a hit is *verified* against that snapshot
-    (byte-equal at ``tolerance=0``, within ``tolerance`` otherwise), so a
-    digest collision degrades to a counted miss, never a wrong answer.  The
-    per-hit distance is the fidelity metric: exactly ``0.0`` in lossless
-    mode, bounded by ``tolerance`` otherwise.
-
-    Locking: the LRU has its own lock (probe/insert are thread-safe on
-    their own); :meth:`serve` additionally assumes the caller holds the
-    plan's arena lock, exactly like ``execute``.
-    """
-
-    def __init__(self, plan: ExecutionPlan, split: int = -1,
-                 max_entries: int = 256, tolerance: float = 0.0,
-                 digest=None):
-        safe = plan.safe_splits()
-        if not safe:
-            raise PlanError(
-                f"plan for {plan.net.name!r} has no safe split points")
-        if split == -1:
-            split = safe[0]
-        if split not in safe:
-            raise PlanError(
-                f"split {split} is not a safe split point (safe: {safe})")
-        if max_entries < 1:
-            raise PlanError(f"max_entries must be >= 1, got {max_entries}")
-        if tolerance < 0.0:
-            raise PlanError(f"tolerance must be >= 0, got {tolerance}")
-        self.plan = plan
-        self.split = split
-        self.top = plan._steps[split].top
-        self.max_entries = int(max_entries)
-        self.tolerance = float(tolerance)
-        #: injectable digest fn (activation bytes -> key); tests exercise
-        #: collision handling by passing a deliberately weak one
-        self._digest_fn = digest
-        self._lock = threading.Lock()
-        self._lru: "OrderedDict[bytes, Tuple[np.ndarray, np.ndarray]]" = \
-            OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.collisions = 0
-        self.fidelity_max = 0.0
-
-    @classmethod
-    def from_config(cls, plan: ExecutionPlan,
-                    config: LayerCacheConfig) -> "LayerCache":
-        return cls(plan, split=config.split, max_entries=config.max_entries,
-                   tolerance=config.tolerance)
-
-    # -------------------------------------------------------------- keying
-    def digest(self, activation: np.ndarray) -> bytes:
-        """Content key for one sample's layer-``k`` activation.
-
-        ``tolerance > 0`` buckets values on a grid of that pitch before
-        hashing, so activations within half a quantum of each other share a
-        key; ``tolerance == 0`` hashes the exact bytes.
-        """
-        arr = np.ascontiguousarray(activation, dtype=np.float32)
-        if self.tolerance > 0.0:
-            arr = np.ascontiguousarray(np.round(arr / self.tolerance))
-        if self._digest_fn is not None:
-            return self._digest_fn(arr.tobytes())
-        return hashlib.sha256(arr.tobytes()).digest()
-
-    # ------------------------------------------------------- probe / insert
-    def probe(self, key: bytes,
-              activation: np.ndarray) -> Optional[np.ndarray]:
-        """Verified lookup: the cached output row, or ``None`` on a miss.
-
-        A key match whose retained snapshot is not within ``tolerance`` of
-        ``activation`` is a digest collision — counted and refused.  Counts
-        hits/misses; the accepted hit's distance feeds ``fidelity_max``.
-        """
-        with self._lock:
-            entry = self._lru.get(key)
-            if entry is not None:
-                snap, out = entry
-                if self.tolerance == 0.0:
-                    ok = (snap.shape == activation.shape
-                          and np.array_equal(snap, activation))
-                    distance = 0.0
-                else:
-                    ok = snap.shape == activation.shape
-                    if ok:
-                        distance = float(
-                            np.max(np.abs(snap - activation), initial=0.0))
-                        ok = distance <= self.tolerance
-                if ok:
-                    self._lru.move_to_end(key)
-                    self.hits += 1
-                    if self.tolerance > 0.0:
-                        self.fidelity_max = max(self.fidelity_max, distance)
-                    return out
-                self.collisions += 1
-            self.misses += 1
-            return None
-
-    def insert(self, key: bytes, activation: np.ndarray,
-               output: np.ndarray) -> None:
-        """Retain one (activation snapshot, output row) pair; LRU-evict."""
-        with self._lock:
-            self._lru[key] = (np.array(activation, dtype=np.float32),
-                              np.array(output, dtype=np.float32))
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.max_entries:
-                self._lru.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._lru)
-
-    def stats(self) -> Dict[str, float]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "evictions": self.evictions,
-                    "collisions": self.collisions,
-                    "entries": len(self._lru),
-                    "fidelity_max": self.fidelity_max}
-
-    # -------------------------------------------------------------- serve
-    def serve(self, n: int, timer=None, clock=None) -> _CacheServe:
-        """Serve the gathered batch of ``n`` rows through the cache.
-
-        Caller contract matches ``execute``: inputs are already in the
-        input slab and the plan lock is held.  Runs the prefix for all
-        rows, probes per row, then one partial-batch suffix for the misses
-        (at the miss count's width — BLAS may reassociate differently than
-        an ``n``-wide pass, which is the same per-composition caveat the
-        batching executor already documents).  Returns owned, read-only
-        outputs plus the probe window for span/stage accounting.
-        """
-        import time as _time
-
-        clock = clock or _time.monotonic
-        plan = self.plan
-        k = self.split
-        plan.execute_range(n, 0, k + 1, timer=timer)
-        views = plan._views_for(n)
-        probe_start = clock()
-        acts = views.tops[self.top]
-        keys = [self.digest(acts[i]) for i in range(n)]
-        hits_before, coll_before = self.hits, self.collisions
-        cached: List[Optional[np.ndarray]] = [
-            self.probe(keys[i], acts[i]) for i in range(n)]
-        miss_rows = [i for i in range(n) if cached[i] is None]
-        miss_acts = [np.array(acts[i], dtype=np.float32) for i in miss_rows]
-        probe_end = clock()
-        out_shape = tuple(views.output.shape[1:])
-        outputs = np.empty((n,) + out_shape, dtype=np.float32)
-        if miss_rows:
-            m = len(miss_rows)
-            stacked = np.stack(miss_acts, axis=0)
-            suffix_views = plan._views_for(m)
-            np.copyto(suffix_views.tops[self.top], stacked)
-            suffix_out = plan.execute_range(m, k + 1, timer=timer)
-            for j, i in enumerate(miss_rows):
-                outputs[i] = suffix_out[j]
-                self.insert(keys[i], miss_acts[j], suffix_out[j])
-        for i in range(n):
-            if cached[i] is not None:
-                outputs[i] = cached[i]
-        outputs.flags.writeable = False
-        return _CacheServe(
-            outputs,
-            hits=self.hits - hits_before,
-            misses=len(miss_rows),
-            collisions=self.collisions - coll_before,
-            fidelity_max=self.fidelity_max,
-            probe_start=probe_start, probe_end=probe_end)
 
 
 def measure_steady_state_alloc(plan: ExecutionPlan, batches=None,

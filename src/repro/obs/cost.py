@@ -8,8 +8,7 @@ trace into a **cost ledger** over a fixed stage taxonomy:
     client.serialize → gateway.queue / gateway.route / gateway.admit /
     gateway.cache → gateway.rpc → backend.queue → sched.wait →
     batch.assemble → preprocess → net.forward (with per-layer
-    sub-breakdown and an engine.cache probe window) → postprocess →
-    respond
+    sub-breakdown) → postprocess → respond
 
 On the v5 APP path the ``preprocess``/``postprocess`` stages are fed by
 the server-side ``app.preprocess``/``app.postprocess`` spans — the whole
@@ -63,7 +62,6 @@ STAGES: Tuple[str, ...] = (
     "batch.assemble",
     "preprocess",
     "net.forward",
-    "engine.cache",
     "postprocess",
     "respond",
 )
@@ -79,8 +77,6 @@ SPAN_STAGE: Dict[str, Optional[str]] = {
     "gateway.hedge": "gateway.route",
     "sched.admit": "gateway.admit",
     "gateway.cache": "gateway.cache",     # response-cache probe (hit or miss)
-    "engine.cache": "engine.cache",       # layer-cache probe window, nested
-                                          # inside net.forward (deepest wins)
     "backend.infer": None,                # container → residual
     "backend.app": None,                  # APP-path container → residual
     "backend.queue": "backend.queue",

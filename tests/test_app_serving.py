@@ -23,7 +23,8 @@ from repro.core import (
 from repro.core.batching import BatchingExecutor
 from repro.gateway import ClusterLauncher, GatewayServer, RetryPolicy
 from repro.models import lenet5, senna
-from repro.obs import MetricsRegistry
+from repro.nn import LayerSpec, NetSpec
+from repro.obs import MetricsRegistry, Tracer, build_ledgers
 from repro.tonic import (
     DigApp,
     PosApp,
@@ -46,6 +47,22 @@ def registry():
 def dig_raw():
     images, _ = digit_dataset(4, seed=11)
     return images  # (4, 1, 28, 28) float32 in [0, 1]
+
+
+class _CountingDigApp(DigApp):
+    """DigApp that counts every preprocess call, batched or not."""
+
+    def __init__(self):
+        super().__init__(backend=None)
+        self.calls = 0
+
+    def preprocess(self, raw):
+        self.calls += 1
+        return super().preprocess(raw)
+
+    def preprocess_batch(self, raws):
+        self.calls += 1
+        return super().preprocess_batch(raws)
 
 
 def _local_answer(registry, raw):
@@ -211,6 +228,95 @@ class TestBatch1FastPath:
         with executor.submit_lease("dig", x) as lease:
             with pytest.raises(ValueError):
                 lease.outputs[0, 0] = 1.0
+
+    def test_declined_app_request_is_preprocessed_once(self, executor,
+                                                       registry, dig_raw):
+        """A fast-path decline hands its preprocessed inputs to the queue:
+        neither an oversize request nor a busy-plan decline preprocesses
+        twice."""
+        app = _CountingDigApp()
+        before = self._hits(executor)
+        oversize = np.concatenate([dig_raw] * 3)  # 12 rows > max_batch
+        assert executor.submit_app("dig", app, oversize, row_hint=12) == \
+            _local_answer(registry, oversize)
+        assert app.calls == 1
+
+        app.calls = 0
+        plan = registry.plan("dig", 1)
+        held, done = threading.Event(), threading.Event()
+
+        def hold_plan():
+            with plan.lock:
+                held.set()
+                done.wait(10.0)
+
+        holder = threading.Thread(target=hold_plan)
+        holder.start()
+        held.wait(10.0)
+        try:
+            result = executor.submit_app("dig", app, dig_raw[0])
+        finally:
+            done.set()
+            holder.join()
+        assert result == _local_answer(registry, dig_raw[0])
+        assert app.calls == 1
+        assert self._hits(executor) == before  # both declined
+
+    def test_fast_and_queued_paths_emit_same_instrumentation(self, dig_raw):
+        """Both paths run the same batch code: a traced ``submit_app``
+        emits the same child spans and ``djinn_stage_seconds_total``
+        stages on each (only the queued request adds ``backend.queue``),
+        and the cost ledger leaves <= 5% of either path's requests
+        unattributed (median of five: one request can lose a scheduler
+        quantum to thread wake-up on a busy host)."""
+        reg = ModelRegistry()
+        # a dig-shaped classifier whose forward (milliseconds), not the
+        # microseconds of per-request bookkeeping, dominates the request
+        reg.register_spec("dig", NetSpec("wide_dig", (1, 32, 32), (
+            LayerSpec("InnerProduct", "fc1", {"num_output": 16384}),
+            LayerSpec("ReLU", "relu"),
+            LayerSpec("InnerProduct", "fc2", {"num_output": 10}),
+            LayerSpec("Softmax", "prob"),
+        )), seed=0)
+        tracer = Tracer(enabled=True)
+        metrics = MetricsRegistry()
+        executor = BatchingExecutor(reg, BatchPolicy(max_batch=8,
+                                                     timeout_ms=2.0),
+                                    tracer=tracer, metrics=metrics)
+        stage = metrics.get("djinn_stage_seconds_total")
+        app = DigApp(backend=None)
+        observed = []
+        try:
+            for fast in (True, False):
+                if not fast:
+                    executor._fast_off.add("dig")
+                executor.submit_app("dig", app, dig_raw[0])  # warm-up
+                before = {k: c.value for k, c in stage.children()}
+                tracer.clear()
+                for _ in range(5):
+                    # a container root: its exclusive time is the residual
+                    with tracer.span("backend.app") as root:
+                        executor.submit_app(
+                            "dig", app, dig_raw[0],
+                            trace=(root.trace_id, root.span_id))
+                spans = tracer.spans()
+                stages = {k[1] for k, c in stage.children()
+                          if c.value > before.get(k, 0.0)}
+                residual = float(np.median(
+                    [ledger.shares()["unattributed"]
+                     for ledger in build_ledgers(spans)]))
+                observed.append(({s.name for s in spans}, stages, residual))
+        finally:
+            executor.close()
+        (fast_spans, fast_stages, fast_residual), \
+            (queued_spans, queued_stages, queued_residual) = observed
+        assert "backend.queue" not in fast_spans | fast_stages
+        assert queued_spans == fast_spans | {"backend.queue"}
+        assert queued_stages == fast_stages | {"backend.queue"}
+        assert {"app.preprocess", "batch.assemble", "net.forward",
+                "batch.scatter", "app.postprocess"} <= fast_spans
+        assert fast_residual <= 0.05
+        assert queued_residual <= 0.05
 
 
 # ------------------------------------------------------------- proc pool raw

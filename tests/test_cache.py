@@ -1,17 +1,14 @@
-"""Cross-layer caching battery: correctness pins for the gateway's
-content-addressed response cache and the engine's activation layer cache.
+"""Response-caching battery: correctness pins for the gateway's
+content-addressed response cache and the shared duplication planner.
 
-The battery is organized around the PR's load-bearing claims:
+The battery is organized around these load-bearing claims:
 
 * **byte identity** — a cache hit is indistinguishable on the wire from
-  the miss that populated it, for every golden-zoo model, and
-  ``ExecutionPlan.run_from(k)`` reproduces the full execution byte-for-
-  byte at every safe split point;
+  the miss that populated it, for every golden-zoo model;
 * **budget invariants** — the response cache never retains more bytes
-  than its budget, and the layer cache never more entries than its cap,
-  with eviction counters that account exactly;
+  than its budget, with eviction counters that account exactly;
 * **collision honesty** — a digest collision (forced via the injectable
-  digest hooks) degrades to a counted miss, never a wrong answer;
+  digest hook) degrades to a counted miss, never a wrong answer;
 * **key discipline** — the response key covers exactly the QoS-invariant
   identity of a request: distinct (model, kind, payload) never share a
   key (fuzzed), while QoS-only differences always do;
@@ -28,12 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    BatchPolicy,
-    DjinnClient,
-    DjinnServer,
-    ModelRegistry,
-)
+from repro.core import DjinnClient, ModelRegistry
 from repro.core.duplication import (
     apply_duplicates,
     jitter_duplicate,
@@ -53,15 +45,6 @@ from repro.gateway import (
     response_key,
 )
 from repro.models import build_net
-from repro.nn import (
-    ExecutionPlan,
-    GraphLayerSpec,
-    GraphNet,
-    GraphSpec,
-    LayerCache,
-    LayerCacheConfig,
-    PlanError,
-)
 from repro.obs import Tracer
 
 from conftest import TEST_SEED
@@ -335,313 +318,6 @@ class TestGatewayCache:
         probes = [s for s in tracer.spans() if s.name == "gateway.cache"]
         assert len(probes) == 2
         assert {s.attrs.get("outcome") for s in probes} == {"hit", "miss"}
-        assert all(s.end_s is not None for s in probes)
-
-
-# ===================================================== run_from / splits
-class TestRunFromSplits:
-    @pytest.mark.parametrize("app", sorted(ZOO_WIDTHS))
-    def test_suffix_byte_identical_at_every_safe_split(self, app, zoo):
-        """run_from(k, snapshot) == the full execution, byte for byte, at
-        every safe split point of every golden-zoo model."""
-        net = zoo[app]
-        plan = ExecutionPlan(net, ZOO_WIDTHS[app])
-        n = 1 if app in ("imc", "face") else 3
-        x = batch_for(net, n)
-        full = plan.run(x)
-        splits = plan.safe_splits()
-        assert splits, f"{app} plan unexpectedly has no safe splits"
-        for k in splits:
-            with plan.lock:
-                np.copyto(plan.input_view(n), x)
-                plan.execute_range(n, 0, k + 1)
-                snap = plan.snapshot(k, n)
-                out = plan.run_from(k, snap)
-            np.testing.assert_array_equal(out, full, err_msg=f"{app}@{k}")
-
-    def test_fanout_region_is_not_a_safe_split(self):
-        """DAG fan-out: while more than one top is live, a single
-        activation does not determine the suffix — those splits must be
-        excluded, and run_from must demand the full live set."""
-        spec = GraphSpec(
-            name="fanout",
-            input_shape=(6,),
-            layers=(
-                GraphLayerSpec("InnerProduct", "ip1", ("input",),
-                               {"num_output": 6}),
-                GraphLayerSpec("ReLU", "act", ("ip1",)),
-                GraphLayerSpec("EltwiseSum", "sum", ("ip1", "act")),
-                GraphLayerSpec("InnerProduct", "head", ("sum",),
-                               {"num_output": 3}),
-                GraphLayerSpec("Softmax", "prob", ("head",)),
-            ),
-            output="prob",
-        )
-        net = GraphNet(spec).materialize(3)
-        plan = ExecutionPlan(net, 4)
-        splits = plan.safe_splits()
-        # step 1 (relu) keeps ip1 live for the sum: not a safe split
-        assert 1 not in splits
-        x = batch_for(net, 2)
-        full = plan.run(x)
-        for k in splits:
-            with plan.lock:
-                np.copyto(plan.input_view(2), x)
-                plan.execute_range(2, 0, k + 1)
-                out = plan.run_from(k, plan.snapshot(k, 2))
-            np.testing.assert_array_equal(out, full)
-        # a bare array at the fan-out point is rejected, not misread
-        with plan.lock:
-            np.copyto(plan.input_view(2), x)
-            plan.execute_range(2, 0, 2)
-            with pytest.raises(PlanError):
-                plan.run_from(1, np.zeros((2, 6), dtype=np.float32))
-
-    def test_run_from_rejects_wrong_shape_and_tops(self, zoo):
-        plan = ExecutionPlan(zoo["pos"], 4)
-        k = plan.safe_splits()[0]
-        with pytest.raises(PlanError):
-            plan.run_from(k, {"no-such-top": np.zeros((1, 4), np.float32)})
-        name = plan.live_tops(k)[0]
-        good = plan.snapshot(k, 1)  # shapes from a real (if stale) arena
-        bad = {name: np.zeros(good[name].shape + (2,), dtype=np.float32)}
-        with pytest.raises(PlanError):
-            plan.run_from(k, bad)
-
-
-# ========================================================== layer cache
-class TestLayerCacheServe:
-    def test_all_miss_serve_matches_uncached_then_hits_byte_equal(self, zoo):
-        net = zoo["dig"]
-        plan = ExecutionPlan(net, 8)
-        cache = LayerCache(plan, max_entries=64)
-        x = batch_for(net, 4)
-        with plan.lock:
-            np.copyto(plan.input_view(4), x)
-            first = cache.serve(4)
-            first_bytes = first.outputs.tobytes()
-        # a cold serve is one full-width pass: byte-equal to the net
-        np.testing.assert_array_equal(first.outputs, net.forward(x))
-        assert (first.hits, first.misses) == (0, 4)
-        with plan.lock:
-            np.copyto(plan.input_view(4), x)
-            second = cache.serve(4)
-            assert second.outputs.tobytes() == first_bytes
-        assert (second.hits, second.misses) == (4, 0)
-        assert not second.outputs.flags.writeable
-
-    def test_partial_hits_mix_rows_correctly(self, zoo):
-        # same batch width on both serves: the exact digest is honest
-        # about BLAS width reassociation, so only same-width replays are
-        # guaranteed to re-derive the same activation bits
-        net = zoo["pos"]
-        plan = ExecutionPlan(net, 8)
-        cache = LayerCache(plan, max_entries=64)
-        warm = batch_for(net, 4)
-        with plan.lock:
-            np.copyto(plan.input_view(4), warm)
-            warmed = cache.serve(4)
-        cold = batch_for(net, 2, seed=TEST_SEED + 5)
-        mixed = np.concatenate([warm[:1], cold, warm[3:]], axis=0)
-        with plan.lock:
-            np.copyto(plan.input_view(4), mixed)
-            served = cache.serve(4)
-        assert (served.hits, served.misses) == (2, 2)
-        # hit rows are byte-equal to the serve that inserted them
-        assert served.outputs[0].tobytes() == warmed.outputs[0].tobytes()
-        assert served.outputs[3].tobytes() == warmed.outputs[3].tobytes()
-        # miss rows match the net (the suffix ran at the miss width)
-        np.testing.assert_allclose(served.outputs[1:3], net.forward(cold),
-                                   rtol=1e-5, atol=1e-6)
-
-    def test_forced_collision_degrades_to_counted_miss(self, zoo):
-        """A deliberately constant digest makes every key collide; the
-        verified probe must refuse the entry and still answer right."""
-        net = zoo["pos"]
-        plan = ExecutionPlan(net, 4)
-        cache = LayerCache(plan, max_entries=8,
-                           digest=lambda data: b"constant")
-        a = batch_for(net, 2)
-        b = batch_for(net, 2, seed=TEST_SEED + 9)
-        with plan.lock:
-            np.copyto(plan.input_view(2), a)
-            cache.serve(2)
-            np.copyto(plan.input_view(2), b)
-            served = cache.serve(2)
-        assert served.hits == 0
-        assert served.collisions >= 1
-        assert served.misses == 2
-        np.testing.assert_array_equal(served.outputs, net.forward(b))
-
-    def test_entry_cap_and_eviction_counters(self, zoo):
-        net = zoo["pos"]
-        plan = ExecutionPlan(net, 4)
-        cache = LayerCache(plan, max_entries=2)
-        for i in range(5):
-            x = batch_for(net, 1, seed=TEST_SEED + 20 + i)
-            with plan.lock:
-                np.copyto(plan.input_view(1), x)
-                cache.serve(1)
-            assert len(cache) <= 2
-        assert cache.stats()["evictions"] == 3
-
-    def test_unsafe_split_and_planless_nets_are_rejected(self, zoo):
-        plan = ExecutionPlan(zoo["pos"], 4)
-        unsafe = [k for k in range(len(plan._steps))
-                  if k not in plan.safe_splits()]
-        if unsafe:
-            with pytest.raises(PlanError):
-                LayerCache(plan, split=unsafe[0])
-        with pytest.raises(PlanError):
-            LayerCache(plan, split=len(plan._steps) + 3)
-
-    def test_concurrent_probe_insert_thread_safe(self, zoo):
-        plan = ExecutionPlan(zoo["pos"], 4)
-        cache = LayerCache(plan, max_entries=8)
-        acts = [np.full((16,), float(i), dtype=np.float32)
-                for i in range(16)]
-        outs = [np.full((4,), float(i), dtype=np.float32)
-                for i in range(16)]
-        probes_per_thread, threads_n = 300, 8
-        errors = []
-
-        def worker(tid):
-            try:
-                for i in range(probes_per_thread):
-                    which = (tid + i) % 16
-                    key = cache.digest(acts[which])
-                    got = cache.probe(key, acts[which])
-                    if got is None:
-                        cache.insert(key, acts[which], outs[which])
-                    else:
-                        np.testing.assert_array_equal(got, outs[which])
-                    assert len(cache) <= 8
-            except Exception as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        stats = cache.stats()
-        assert stats["hits"] + stats["misses"] == \
-            probes_per_thread * threads_n
-        assert stats["entries"] <= 8
-
-    @settings(**SETTINGS)
-    @given(
-        jitter=st.floats(0.0, 0.02, allow_nan=False),
-        tolerance=st.sampled_from([0.0, 0.05, 0.25]),
-        seed=st.integers(0, 1000),
-    )
-    def test_near_duplicates_respect_fidelity_threshold(self, jitter,
-                                                        tolerance, seed):
-        """Whatever the digest decides for a near-duplicate, fidelity
-        stays inside the configured tolerance: a hit's activation
-        distance never exceeds it, lossless mode never hits on changed
-        bytes, and outputs are either byte-replays or fresh suffixes."""
-        net = _near_dup_state["net"]
-        plan = _near_dup_state["plan"]
-        cache = LayerCache(plan, max_entries=8, tolerance=tolerance)
-        base = batch_for(net, 1, seed=TEST_SEED + 77)
-        near = jitter_duplicate(base, index=1, seed=seed, jitter=jitter)
-        with plan.lock:
-            np.copyto(plan.input_view(1), base)
-            first = cache.serve(1)
-            np.copyto(plan.input_view(1), near)
-            second = cache.serve(1)
-        assert second.hits + second.misses == 1
-        assert second.fidelity_max <= tolerance
-        if second.hits:
-            # a hit replays the inserted row byte-for-byte
-            assert second.outputs.tobytes() == first.outputs.tobytes()
-        else:
-            np.testing.assert_allclose(second.outputs, net.forward(near),
-                                       rtol=1e-5, atol=1e-6)
-        if tolerance == 0.0 and jitter > 0.0 and not np.array_equal(
-                near, base):
-            assert second.hits == 0  # lossless mode never blurs identity
-
-
-#: hypothesis redraws examples inside one test call, so the expensive
-#: plan is built once at import, not per example
-_near_dup_state = {}
-
-
-def _build_near_dup_state():
-    net = build_net("pos", materialize=True)
-    _near_dup_state["net"] = net
-    _near_dup_state["plan"] = ExecutionPlan(net, 2)
-
-
-_build_near_dup_state()
-
-
-# ============================================== executor / server wiring
-class TestExecutorLayerCache:
-    @pytest.fixture()
-    def registry(self, zoo):
-        reg = ModelRegistry()
-        reg.register("pos", zoo["pos"])
-        return reg
-
-    def test_served_through_batching_executor_byte_identical(self, registry,
-                                                             zoo):
-        reference = DjinnServer(registry, port=0,
-                                batching=BatchPolicy(max_batch=4,
-                                                     timeout_ms=1.0))
-        cached = DjinnServer(registry, port=0,
-                             batching=BatchPolicy(max_batch=4,
-                                                  timeout_ms=1.0),
-                             layer_cache=LayerCacheConfig(max_entries=64))
-        reference.start()
-        cached.start()
-        try:
-            x = batch_for(zoo["pos"], 2)
-            with DjinnClient(*reference.address) as ref_cli, \
-                    DjinnClient(*cached.address) as hot_cli:
-                want = ref_cli.infer("pos", x)
-                cold = hot_cli.infer("pos", x)
-                warm = hot_cli.infer("pos", x)
-            assert cold.tobytes() == want.tobytes()
-            assert warm.tobytes() == want.tobytes()
-            dump = cached.metrics.dump()["metrics"]
-            # the counter family exists and recorded both outcomes
-            events = str(dump["djinn_layer_cache_events_total"])
-            assert "hit" in events and "miss" in events
-            ref_dump = reference.metrics.dump()["metrics"]
-            assert not any(name.startswith("djinn_layer_cache")
-                           for name in ref_dump)
-        finally:
-            cached.stop()
-            reference.stop()
-
-    def test_layer_cache_requires_batching(self, registry):
-        with pytest.raises(ValueError):
-            DjinnServer(registry, port=0,
-                        layer_cache=LayerCacheConfig())
-
-    def test_engine_cache_span_emitted_for_traced_requests(self, registry,
-                                                           zoo):
-        tracer = Tracer(enabled=True)
-        server = DjinnServer(registry, port=0,
-                             batching=BatchPolicy(max_batch=4,
-                                                  timeout_ms=1.0),
-                             layer_cache=LayerCacheConfig(),
-                             tracer=tracer)
-        server.start()
-        try:
-            with DjinnClient(*server.address, tracer=tracer) as cli:
-                x = batch_for(zoo["pos"], 1)
-                cli.infer("pos", x)
-                cli.infer("pos", x)
-        finally:
-            server.stop()
-        probes = [s for s in tracer.spans() if s.name == "engine.cache"]
-        assert probes, "traced cached request must emit an engine.cache span"
         assert all(s.end_s is not None for s in probes)
 
 

@@ -1,6 +1,10 @@
 """Integration tests: the DjiNN TCP service end-to-end."""
 
+import gc
+import socket
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -131,7 +135,6 @@ class TestLifecycle:
         host, port = srv.address
         client = DjinnClient(host, port)
         client.shutdown_server()
-        import time
         deadline = time.time() + 5
         while srv._running.is_set() and time.time() < deadline:
             time.sleep(0.01)
@@ -140,6 +143,34 @@ class TestLifecycle:
     def test_address_before_start_raises(self, registry):
         with pytest.raises(RuntimeError, match="not started"):
             DjinnServer(registry).address
+
+    def test_finished_connection_threads_are_not_retained(self, registry):
+        """The server keeps no reference to a connection's worker thread
+        once the connection is gone (no per-connection leak)."""
+        srv = DjinnServer(registry)
+        refs = []
+        serve = srv._serve_connection
+
+        def tracked(conn):
+            refs.append(weakref.ref(threading.current_thread()))
+            serve(conn)
+
+        srv._serve_connection = tracked
+        srv.start()
+        try:
+            for _ in range(100):
+                socket.create_connection(srv.address).close()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and (
+                    len(refs) < 100 or any(
+                        ref() is not None and ref().is_alive()
+                        for ref in refs)):
+                time.sleep(0.01)
+            assert len(refs) == 100
+            gc.collect()
+            assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            srv.stop()
 
 
 class TestRemoteBackend:
